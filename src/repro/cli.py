@@ -58,7 +58,7 @@ from repro.core.dse.cost_model import (
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.ir.digest import module_digest
-from repro.core.dsl.kernel_dsl import compile_kernel, kernel_names
+from repro.core.dsl.kernel_dsl import compile_kernel
 from repro.core.variants import VariantKnobs
 from repro.utils.tables import Table
 
@@ -114,7 +114,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
          "best energy uJ"],
     )
     digest = module_digest(module)
-    for name in kernel_names(source):
+    for function in module.functions():
+        name = function.name
         explorer = Explorer(module, name, space, workers=args.workers,
                             workers_mode=args.workers_mode,
                             digest=digest)

@@ -143,7 +143,8 @@ class EverestCompiler:
                             module, digest=digest)
                     diagnostics.extend(cached)
                     check_pipeline_concurrency(pipeline, diagnostics)
-                    lint_pipeline_contracts(pipeline, diagnostics)
+                    lint_pipeline_contracts(pipeline, diagnostics,
+                                            module=module)
                     span.note(findings=len(diagnostics.items))
                 raise_if_errors(diagnostics, AnalysisError)
 

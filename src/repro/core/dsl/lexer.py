@@ -1,13 +1,17 @@
 """Tokenizer for the kernel DSL.
 
-Hand-written scanner producing a flat token stream. Tensor type
-literals (``tensor<16x16xf32>``) are scanned as a single token so the
-parser does not have to reassemble dimension lists from ``<``/``x``
-fragments.
+One pass of a master regex produces a flat token stream; a column is
+counted from the start of its line. Tensor type literals
+(``tensor<16x16xf32>``) are single tokens so the parser does not have
+to reassemble dimension lists. Words and numbers follow
+``str.isalpha``/``isalnum``/``isdigit``, so Unicode letters and digits
+count: the regex handles ASCII, and those predicates finish a token
+that starts, or may continue, with a non-ASCII character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -24,10 +28,24 @@ KEYWORD = "KEYWORD"
 SYMBOL = "SYMBOL"
 EOF = "EOF"
 
-_SYMBOLS = (
-    "->", "@", "+", "-", "*", "/", "(", ")", "{", "}", "[", "]",
-    ",", "=", ":", "<", ">",
+#: Skips whitespace and comments, then matches one token; ``end``
+#: matches at the end of the source.
+_TOKEN_RE = re.compile(
+    r"""
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+        (?P<tensor>tensor<)
+      | (?P<word>[A-Za-z_]\w*)
+      | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+      | (?P<symbol>->|[@+\-*/(){}\[\],=:<>])
+      | (?P<other>.)
+      | (?P<end>\Z)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
 )
+_WORD_TAIL_RE = re.compile(r"\w*")
+_ANGLE_RE = re.compile(r"[<>]")
 
 
 @dataclass(frozen=True)
@@ -43,122 +61,78 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
 
 
-class Lexer:
-    """Scans DSL source into tokens."""
+def _tensor_end(source: str, position: int) -> int:
+    """End of the angle-bracketed literal opening at ``position``."""
+    depth = 0
+    for angle in _ANGLE_RE.finditer(source, position):
+        depth += 1 if angle.group() == "<" else -1
+        if not depth:
+            return angle.end()
+    raise ParseError("unterminated tensor type literal",
+                     source.count("\n") + 1, len(source) - source.rfind("\n"))
 
-    def __init__(self, source: str):
-        self.source = source
-        self.position = 0
-        self.line = 1
-        self.column = 1
 
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.position + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.position:self.position + count]
-        for char in text:
-            if char == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.position += count
-        return text
-
-    def tokens(self) -> List[Token]:
-        """Scan the whole source."""
-        result: List[Token] = []
-        while self.position < len(self.source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-                continue
-            if char == "#":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-                continue
-            line, column = self.line, self.column
-            if char.isalpha() or char == "_":
-                word = self._scan_word()
-                if word == "tensor" and self._peek() == "<":
-                    raw = self._scan_tensor_type()
-                    result.append(
-                        Token(TENSORTYPE, f"tensor{raw}", line, column)
-                    )
-                elif word in KEYWORDS:
-                    result.append(Token(KEYWORD, word, line, column))
-                else:
-                    result.append(Token(ID, word, line, column))
-                continue
-            if char.isdigit() or (
-                char == "." and self._peek(1).isdigit()
-            ):
-                result.append(Token(NUMBER, self._scan_number(),
-                                    line, column))
-                continue
-            symbol = self._scan_symbol()
-            result.append(Token(SYMBOL, symbol, line, column))
-        result.append(Token(EOF, "", self.line, self.column))
-        return result
-
-    def _scan_word(self) -> str:
-        start = self.position
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        return self.source[start:self.position]
-
-    def _scan_number(self) -> str:
-        start = self.position
-        seen_dot = False
-        seen_exp = False
-        while True:
-            char = self._peek()
-            if char.isdigit():
-                self._advance()
-            elif char == "." and not seen_dot and not seen_exp:
-                seen_dot = True
-                self._advance()
-            elif char in "eE" and not seen_exp and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                seen_exp = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-            else:
-                break
-        return self.source[start:self.position]
-
-    def _scan_tensor_type(self) -> str:
-        if self._peek() != "<":
-            raise self._error("expected '<' after 'tensor'")
-        start = self.position
-        depth = 0
-        while self.position < len(self.source):
-            char = self._peek()
-            self._advance()
-            if char == "<":
-                depth += 1
-            elif char == ">":
-                depth -= 1
-                if depth == 0:
-                    return self.source[start:self.position]
-        raise self._error("unterminated tensor type literal")
-
-    def _scan_symbol(self) -> str:
-        for symbol in _SYMBOLS:
-            if self.source.startswith(symbol, self.position):
-                self._advance(len(symbol))
-                return symbol
-        raise self._error(f"unexpected character {self._peek()!r}")
+def _number_end(source: str, position: int) -> int:
+    """End of the number starting at ``position``, digits by ``isdigit``."""
+    seen_dot = seen_exp = False
+    while position < len(source):
+        char = source[position]
+        after = source[position + 1:position + 3]
+        if char.isdigit():
+            position += 1
+        elif char == "." and not seen_dot and not seen_exp:
+            seen_dot = True
+            position += 1
+        elif char in "eE" and not seen_exp and (
+            after[:1].isdigit()
+            or (after[:1] in ("+", "-") and after[1:].isdigit())
+        ):
+            seen_exp = True
+            position += 1 if after[:1].isdigit() else 2
+        else:
+            break
+    return position
 
 
 def tokenize(source: str) -> List[Token]:
     """Scan source into a token list ending in EOF."""
-    return Lexer(source).tokens()
+    tokens: List[Token] = []
+    ascii_only = source.isascii()
+    position = previous = line_start = 0
+    line = 1
+    while True:
+        found = _TOKEN_RE.match(source, position)
+        kind = found.lastgroup
+        start, end = found.span(kind)
+        # only whitespace and tensor literals span lines
+        newlines = source.count("\n", previous, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", previous, start) + 1
+        previous, column = start, start - line_start + 1
+        text = found.group(kind)
+        if kind == "word":
+            kind = KEYWORD if text in KEYWORDS else ID
+            tokens.append(Token(kind, text, line, column))
+        elif kind == "symbol":
+            tokens.append(Token(SYMBOL, text, line, column))
+        elif kind == "end":
+            tokens.append(Token(EOF, "", line, column))
+            return tokens
+        elif kind == "tensor":
+            end = _tensor_end(source, end - 1)
+            tokens.append(Token(TENSORTYPE, source[start:end], line, column))
+        elif kind == "number":
+            if not (ascii_only or source[end:end + 3].isascii()):
+                end = _number_end(source, start)  # non-ASCII digits follow
+            tokens.append(Token(NUMBER, source[start:end], line, column))
+        elif text.isalpha():
+            end = _WORD_TAIL_RE.match(source, end).end()
+            tokens.append(Token(ID, source[start:end], line, column))
+        elif text.isdigit() or (text == "."
+                                and source[end:end + 1].isdigit()):
+            end = _number_end(source, start)
+            tokens.append(Token(NUMBER, source[start:end], line, column))
+        else:
+            raise ParseError(f"unexpected character {text!r}", line, column)
+        position = end

@@ -85,7 +85,9 @@ class Pipeline:
         self.sources: List[Source] = []
         self.tasks: List[Task] = []
         self.sinks: List[Sink] = []
-        self._kernel_sources: List[str] = []
+        #: DSL source -> compiled module, held from first use until
+        #: :meth:`to_ir` clones it (None otherwise).
+        self._kernel_modules: Dict[str, Optional[Module]] = {}
         self.requirements: List[Requirement] = []
 
     # ------------------------------------------------------------------
@@ -119,7 +121,7 @@ class Pipeline:
         """
         if any(existing.name == name for existing in self.tasks):
             raise SpecificationError(f"duplicate task {name!r}")
-        self._kernel_sources.append(kernel_source)
+        self._kernel_modules.setdefault(kernel_source, None)
         task = Task(
             name=name,
             kernel=kernel or name,
@@ -144,6 +146,18 @@ class Pipeline:
         """Attach a pipeline-wide non-functional requirement."""
         self.requirements.append(requirement)
 
+    def kernel_module(self, kernel_source: str) -> Module:
+        """A DSL source's compiled module; callers must not mutate it.
+
+        The source joins the kernel sources :meth:`to_ir` merges, and
+        is compiled at most once before ``to_ir`` clones its kernels.
+        """
+        module = self._kernel_modules.get(kernel_source)
+        if module is None:
+            module = compile_kernel(kernel_source)
+            self._kernel_modules[kernel_source] = module
+        return module
+
     # ------------------------------------------------------------------
 
     def to_ir(self) -> Module:
@@ -153,12 +167,14 @@ class Pipeline:
                 f"pipeline {self.name!r} has no tasks"
             )
         module = Module(self.name)
-        for source_text in self._kernel_sources:
-            compiled = compile_kernel(source_text)
-            for function in compiled.functions():
+        for source_text in self._kernel_modules:
+            for function in self.kernel_module(source_text).functions():
                 if module.find_function(function.name) is None:
                     clone = function.op.clone({})
                     module.body.append(clone)
+            # the returned module holds the kernels now; keeping this
+            # copy too would double their IR for the pipeline's life
+            self._kernel_modules[source_text] = None
 
         pipeline_attrs: Dict[str, object] = {"sym_name": self.name}
         if self.requirements:
@@ -287,11 +303,12 @@ def lint_pipeline_contracts(
     (WF011) disagreements as diagnostics, so the lint CLI and the
     compiler's static gate surface every contract bug at once.
 
-    Pass the already-lowered ``module`` to resolve kernel signatures
-    without recompiling the DSL sources (what the compiler does);
-    without it the kernel sources are compiled here, and sources that
-    fail to compile are skipped — broken DSL text is DSL001's concern,
-    not this check's. Returns the diagnostics collection.
+    The compiler passes the module it lowered as ``module``, so kernel
+    signatures come from its functions. Without it, signatures come
+    from :meth:`Pipeline.kernel_module`, whose compiled modules a later
+    :meth:`Pipeline.to_ir` reuses; sources that fail to compile are
+    skipped — broken DSL text is DSL001's concern, not this check's.
+    Returns the diagnostics collection.
     """
     from repro.core.analysis.absint import _compare_types
     from repro.core.analysis.diagnostics import Diagnostics
@@ -299,16 +316,16 @@ def lint_pipeline_contracts(
     diagnostics = diagnostics if diagnostics is not None else Diagnostics()
     signatures: Dict[str, object] = {}
     if module is not None:
-        for function in module.functions():
-            signatures.setdefault(function.name, function.type)
+        functions = module.functions()
     else:
-        for source_text in pipeline._kernel_sources:
+        functions = []
+        for source_text in pipeline._kernel_modules:
             try:
-                compiled = compile_kernel(source_text)
+                functions += pipeline.kernel_module(source_text).functions()
             except SpecificationError:
                 continue
-            for function in compiled.functions():
-                signatures.setdefault(function.name, function.type)
+    for function in functions:
+        signatures.setdefault(function.name, function.type)
 
     value_types: Dict[object, Type] = {
         id(source): source.type for source in pipeline.sources

@@ -326,7 +326,11 @@ class IRParser:
             dims_and_elem = "".join(pieces)
             parts = dims_and_elem.split("x")
             element = ScalarType(parts[-1])
-            dims = tuple(int(d) for d in parts[:-1])
+            try:
+                dims = tuple(int(d) for d in parts[:-1])
+            except ValueError:
+                raise ParseError(
+                    f"malformed type {text}<{dims_and_elem}>") from None
             space, layout = "default", "row_major"
             while self._accept("punct", ","):
                 modifier = self._expect("ident")[1]

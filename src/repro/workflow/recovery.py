@@ -140,6 +140,8 @@ class ResilientServer:
     ):
         if not workers:
             raise WorkflowError("server needs at least one worker")
+        if len({worker.name for worker in workers}) != len(workers):
+            raise WorkflowError("worker names must be unique")
         self.workers = list(workers)
         self.ecosystem = ecosystem
         self.policy = policy or BLevelScheduler()

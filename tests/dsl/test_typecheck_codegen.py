@@ -185,11 +185,13 @@ class TestCodegenExecution:
         assert np.allclose(total, np.maximum(a, 0).sum(), atol=1e-5)
 
     def test_kernel_names_helper(self):
-        names = kernel_names("""
+        source = """
         kernel a(X: tensor<2xf32>) -> tensor<2xf32> { return X }
         kernel b(X: tensor<2xf32>) -> tensor<2xf32> { return X }
-        """)
-        assert names == ["a", "b"]
+        """
+        assert kernel_names(source) == ["a", "b"]
+        module = compile_kernel(source)
+        assert [f.name for f in module.functions()] == ["a", "b"]
 
     def test_sensitive_annotation_recorded(self, sensitive_module):
         function = sensitive_module.find_function("score")

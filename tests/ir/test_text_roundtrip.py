@@ -115,6 +115,15 @@ class TestParserErrors:
         with pytest.raises(ParseError):
             parse_module("builtin.module @m { $$$ }")
 
+    def test_malformed_dimension_is_a_parse_error(self):
+        # One inserted character turns a printed dimension into 'y8'.
+        text = print_module(compile_kernel(SOURCES["tensor-form"]))
+        mutated = text.replace("tensor<8x4xf32>", "tensor<y8x4xf32>", 1)
+        assert mutated != text
+        with pytest.raises(ParseError,
+                           match=r"malformed type tensor<y8x4xf32>"):
+            parse_module(mutated)
+
     def test_attr_types_preserved(self):
         module = lowered(SOURCES["tensor-form"])
         reparsed = parse_module(print_module(module))

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import WorkflowError
 from repro.platform.topology import Tier, build_reference_ecosystem
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from repro.workflow.recovery import ResilientServer
 from repro.workflow.scheduler import (
     BLevelScheduler,
     FIFOScheduler,
@@ -129,9 +130,11 @@ class TestServerExecution:
         with pytest.raises(WorkflowError):
             WorkflowServer([])
 
-    def test_duplicate_worker_names_rejected(self):
-        with pytest.raises(WorkflowError):
-            WorkflowServer([
+    @pytest.mark.parametrize("engine", [WorkflowServer, ResilientServer],
+                             ids=lambda engine: engine.__name__)
+    def test_duplicate_worker_names_rejected(self, engine):
+        with pytest.raises(WorkflowError, match="must be unique"):
+            engine([
                 Worker("w", node_name="a"), Worker("w", node_name="b"),
             ])
 
