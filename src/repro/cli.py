@@ -54,6 +54,7 @@ from typing import List, Optional
 from repro.core.dse.cost_model import (
     ArchitectureModel,
     prepare_variant_module,
+    synthesize_variant,
 )
 from repro.core.dse.explorer import Explorer
 from repro.core.dse.space import DesignSpace
@@ -136,9 +137,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Print the HLS report for one kernel."""
-    from repro.core.hls.bambu import HLSOptions, synthesize
-    from repro.core.hls.scheduling import ResourceBudget
-
     _configure_dse_caches(args)
     source = _read_source(args.file)
     module = compile_kernel(source)
@@ -146,17 +144,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         target="fpga", unroll=args.unroll,
         clock_hz=args.clock_mhz * 1e6,
     )
-    prepared = prepare_variant_module(module, args.kernel, knobs,
-                                      module_digest(module))
-    design = synthesize(
-        prepared, args.kernel,
-        HLSOptions(
-            clock_hz=args.clock_mhz * 1e6,
-            budget=ResourceBudget(
-                fadd=4 * args.unroll, fmul=4 * args.unroll,
-            ),
-        ),
-    )
+    design = synthesize_variant(module, args.kernel, knobs)
     print(design.report())
     return 0
 
@@ -312,17 +300,13 @@ def cmd_emit(args: argparse.Namespace) -> int:
         if args.what == "sycl"
         else VariantKnobs(target="fpga", unroll=args.unroll)
     )
-    prepared = prepare_variant_module(module, args.kernel, knobs,
-                                      module_digest(module))
+    prepared = prepare_variant_module(module, args.kernel, knobs)
     if args.what == "sycl":
         from repro.core.backend.sycl_gen import generate_sycl
 
         print(generate_sycl(prepared, args.kernel))
     elif args.what == "rtl":
-        from repro.core.hls.bambu import HLSOptions, synthesize
-
-        design = synthesize(prepared, args.kernel, HLSOptions())
-        print(design.rtl())
+        print(synthesize_variant(module, args.kernel, knobs).rtl())
     elif args.what == "lowered-ir":
         from repro.core.ir import print_module
 

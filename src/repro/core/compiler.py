@@ -29,13 +29,12 @@ from repro.core.backend.sycl_gen import generate_sycl
 from repro.core.dse.cost_model import (
     ArchitectureModel,
     prepare_variant_module,
+    synthesize_variant,
 )
 from repro.core.dse.explorer import ExplorationResult, Explorer
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.annotations import Sensitivity
 from repro.core.dsl.workflow import Pipeline, lint_pipeline_contracts
-from repro.core.hls.bambu import HLSOptions, synthesize
-from repro.core.hls.scheduling import ResourceBudget
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.passes.partitioning import HardwarePartitioningPass
@@ -249,44 +248,27 @@ class EverestCompiler:
         self, module: Module, variant, digest: Optional[str] = None
     ) -> Artifact:
         """Generate the deployable artifact for one variant."""
-        # Muted observation: preparation is memoized, so whether the
-        # pass pipeline actually runs here depends on cache warmth;
-        # letting it trace would make otherwise-identical compiles
-        # produce different traces. The packaging span above is the
-        # deterministic record of this work.
+        knobs = variant.knobs
+        # Muted observation: preparation and synthesis are memoized
+        # (pricing usually built this very design), so whether passes
+        # run here depends on cache warmth; tracing them would make
+        # identical compiles trace differently. The packaging span
+        # above is the deterministic record of this work.
         with observe(Observation()):
-            prepared = prepare_variant_module(
-                module, variant.kernel, variant.knobs, digest
-            )
-        if variant.knobs.target == "cpu":
-            source = generate_sycl(prepared, variant.kernel)
-            payload = SoftwareBinary(
-                name=variant.name,
-                arch="ppc64le",
-                source_text=source,
-                threads=variant.knobs.threads,
-            )
-            return Artifact(
-                variant_id=variant.variant_id,
-                kind="binary",
-                payload=payload,
-            )
-        if variant.knobs.target == "fpga":
-            options = HLSOptions(
-                clock_hz=variant.knobs.clock_hz,
-                memory_strategy=variant.knobs.memory_strategy,
-                budget=ResourceBudget(
-                    fadd=4 * variant.knobs.unroll,
-                    fmul=4 * variant.knobs.unroll,
-                ),
-                enable_dift=variant.knobs.dift or None,
-            )
-            design = synthesize(prepared, variant.kernel, options)
-            return Artifact(
-                variant_id=variant.variant_id,
-                kind="bitstream",
-                payload=design.bitstream(),
-            )
+            if knobs.target == "cpu":
+                prepared = prepare_variant_module(
+                    module, variant.kernel, knobs, digest)
+                payload = SoftwareBinary(
+                    name=variant.name, arch="ppc64le",
+                    source_text=generate_sycl(prepared, variant.kernel),
+                    threads=knobs.threads,
+                )
+                return Artifact(variant.variant_id, "binary", payload)
+            if knobs.target == "fpga":
+                design = synthesize_variant(
+                    module, variant.kernel, knobs, digest)
+                return Artifact(variant.variant_id, "bitstream",
+                                design.bitstream())
         raise BackendError(
-            f"no artifact path for target {variant.knobs.target!r}"
+            f"no artifact path for target {knobs.target!r}"
         )

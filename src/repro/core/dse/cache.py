@@ -6,8 +6,8 @@ identity, so a recycled ``id()`` can never alias two different kernel
 sources:
 
 * :class:`PreparedModuleCache` — a bounded in-memory LRU of
-  knob-transformed ("prepared") modules, saving the pass pipeline on
-  repeat evaluations inside one process;
+  knob-transformed ("prepared") modules and their HLS designs, so a
+  compile lowers and synthesizes each variant once;
 * :class:`CostCache` — a two-level cost store (in-memory dict plus an
   optional persistent on-disk directory) memoizing
   ``(module_digest, kernel, knobs, model)`` → cost estimate, so a
@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.core.ir.digest import DIGEST_VERSION
-from repro.core.ir.module import Module
 from repro.core.variants import CostEstimate
 from repro.errors import DSEError
 from repro.platform.resources import FPGAResources
@@ -94,11 +93,16 @@ class CacheStats:
 
 
 class PreparedModuleCache:
-    """Bounded LRU of prepared variant modules.
+    """Bounded LRU of prepared variants (module plus HLS design).
 
-    Keys are ``(module_digest, kernel, knobs)`` tuples; the digest is
+    The cost model keys entries on ``(module_digest, kernel, knobs)``
+    with ``threads`` reset to 1, as no pass reads it; the digest is
     the content hash of the *source* (tensor-form) module, so mutating
     or garbage-collecting a module can never resurrect a stale entry.
+    ``clear``, the capacity and the stats cover designs too.
+    ``clock_hz`` and ``memory_strategy`` stay in the key although only
+    synthesis reads them: sharing across them would let serial runs
+    hit where process-pool children miss, breaking stat parity.
     """
 
     def __init__(self, capacity: int = DEFAULT_PREPARED_CAPACITY):
@@ -110,27 +114,27 @@ class PreparedModuleCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, Module]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
 
-    def get(self, key: Tuple) -> Optional[Module]:
-        """The cached module for ``key``, refreshing its recency."""
+    def get(self, key: Tuple) -> Optional[Any]:
+        """The cached value for ``key``, refreshing its recency."""
         with self._lock:
-            module = self._entries.get(key)
-            if module is None:
+            value = self._entries.get(key)
+            if value is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return module
+            return value
 
-    def put(self, key: Tuple, module: Module) -> None:
+    def put(self, key: Tuple, value: Any) -> None:
         """Insert (or refresh) one entry, evicting the oldest at cap."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._entries[key] = module
+                self._entries[key] = value
                 return
-            self._entries[key] = module
+            self._entries[key] = value
             self.stats.stores += 1
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

@@ -9,29 +9,32 @@ the knob-specific compilation (tiling, lowering, directives) and HLS on
 a clone of the kernel — the estimation feedback loop of Fig. 1.
 
 Evaluation is memoized through the content-addressed caches in
-:mod:`repro.core.dse.cache`: prepared (knob-transformed) modules live
-in a bounded LRU and finished cost estimates in a two-level cost cache,
-both keyed by the *structural digest* of the source module — never by
-``id()``, which the garbage collector recycles.
+:mod:`repro.core.dse.cache`: prepared (knob-transformed) modules and
+their HLS designs live in a bounded LRU (packaging reuses both), and
+finished cost estimates in a two-level cost cache, both keyed by the
+*structural digest* of the source module — never by ``id()``, which
+the garbage collector recycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.analysis.absint import function_facts, partition_conflict
 from repro.core.dse.cache import CostCache, cost_cache, prepared_cache
-from repro.core.hls.bambu import HLSOptions, synthesize
+from repro.core.hls.bambu import AcceleratorDesign, HLSOptions, synthesize
 from repro.core.hls.scheduling import ResourceBudget
 from repro.core.ir.digest import module_digest
 from repro.core.ir.module import Module
 from repro.core.ir.passes import (
+    AccumulationInterleavePass,
     CanonicalizePass,
     DataLayoutPass,
     ElementwiseFusionPass,
     LoopDirectivesPass,
     LowerTensorPass,
+    MatmulLoopOrderPass,
     PassManager,
     SecurityInstrumentationPass,
     TilingPass,
@@ -112,6 +115,55 @@ class ArchitectureModel:
         ))
 
 
+@dataclass
+class PreparedVariant:
+    """A prepared-cache entry: lowered module, then its HLS design."""
+
+    module: Module
+    design: Optional[AcceleratorDesign] = None
+
+
+def _prepared_entry(
+    module: Module,
+    kernel: str,
+    knobs: VariantKnobs,
+    digest: Optional[str],
+) -> PreparedVariant:
+    """The prepared-cache entry of ``knobs``; a miss runs the passes."""
+    if digest is None:
+        digest = module_digest(module)
+    cache = prepared_cache()
+    # No pass reads ``threads``: CPU points differing only in threads
+    # share one lowered module.
+    pass_knobs = knobs if knobs.threads == 1 else replace(knobs, threads=1)
+    cache_key = (digest, kernel, pass_knobs)
+    entry = cache.get(cache_key)
+    if entry is not None:
+        return entry
+    clone = module.clone()
+    manager = PassManager(verify_each=False)
+    manager.add(ElementwiseFusionPass())
+    if knobs.matmul_order != "ijk":
+        manager.add(MatmulLoopOrderPass(knobs.matmul_order))
+    if knobs.tile:
+        manager.add(TilingPass(
+            tile_sizes=(knobs.tile, knobs.tile, knobs.tile)))
+    if knobs.layout in ("aos", "soa"):
+        manager.add(DataLayoutPass(knobs.layout))
+    if knobs.dift:
+        manager.add(SecurityInstrumentationPass())
+    manager.add(LowerTensorPass())
+    if knobs.target == "fpga":
+        manager.add(LoopDirectivesPass(unroll_factor=knobs.unroll))
+        if knobs.interleave > 1:
+            manager.add(AccumulationInterleavePass(knobs.interleave))
+    manager.add(CanonicalizePass())
+    manager.run(clone)
+    entry = PreparedVariant(clone)
+    cache.put(cache_key, entry)
+    return entry
+
+
 def prepare_variant_module(
     module: Module,
     kernel: str,
@@ -125,40 +177,31 @@ def prepare_variant_module(
     the cache survives garbage collection of the source module without
     ever aliasing a recycled ``id``.
     """
-    if digest is None:
-        digest = module_digest(module)
-    cache = prepared_cache()
-    cache_key = (digest, kernel, knobs)
-    cached = cache.get(cache_key)
-    if cached is not None:
-        return cached
-    clone = module.clone()
-    manager = PassManager(verify_each=False)
-    manager.add(ElementwiseFusionPass())
-    if knobs.matmul_order != "ijk":
-        from repro.core.ir.passes import MatmulLoopOrderPass
+    return _prepared_entry(module, kernel, knobs, digest).module
 
-        manager.add(MatmulLoopOrderPass(knobs.matmul_order))
-    if knobs.tile:
-        manager.add(TilingPass(
-            tile_sizes=(knobs.tile, knobs.tile, knobs.tile)))
-    if knobs.layout in ("aos", "soa"):
-        manager.add(DataLayoutPass(knobs.layout))
-    if knobs.dift:
-        manager.add(SecurityInstrumentationPass())
-    manager.add(LowerTensorPass())
-    if knobs.target == "fpga":
-        manager.add(LoopDirectivesPass(unroll_factor=knobs.unroll))
-        if knobs.interleave > 1:
-            from repro.core.ir.passes import (
-                AccumulationInterleavePass,
-            )
 
-            manager.add(AccumulationInterleavePass(knobs.interleave))
-    manager.add(CanonicalizePass())
-    manager.run(clone)
-    cache.put(cache_key, clone)
-    return clone
+def synthesize_variant(
+    module: Module,
+    kernel: str,
+    knobs: VariantKnobs,
+    digest: Optional[str] = None,
+) -> AcceleratorDesign:
+    """The HLS design of one FPGA knob point, synthesized once.
+
+    Memoized on the point's prepared entry, so pricing and packaging
+    share one synthesis. Failures propagate and are not memoized.
+    """
+    entry = _prepared_entry(module, kernel, knobs, digest)
+    if entry.design is None:
+        entry.design = synthesize(entry.module, kernel, HLSOptions(
+            clock_hz=knobs.clock_hz,
+            memory_strategy=knobs.memory_strategy,
+            budget=ResourceBudget(
+                fadd=4 * knobs.unroll, fmul=4 * knobs.unroll,
+            ),
+            enable_dift=knobs.dift or None,
+        ))
+    return entry.design
 
 
 def evaluate_variant(
@@ -177,14 +220,6 @@ def evaluate_variant(
     once per run). Cache hits return a fresh :class:`CostEstimate`.
     """
     model = model or ArchitectureModel()
-    function = module.find_function(kernel)
-    if function is None:
-        raise DSEError(f"no kernel named {kernel!r}")
-    if knobs.target not in ("cpu", "fpga"):
-        raise DSEError(
-            f"cost model does not support target {knobs.target!r}"
-        )
-
     cache = cost_cache()
     if digest is None:
         digest = module_digest(module)
@@ -314,17 +349,8 @@ def _evaluate_fpga(
             latency_s=float("inf"), energy_j=float("inf"),
             feasible=False, infeasible_reason=conflict,
         )
-    prepared = prepare_variant_module(module, kernel, knobs, digest)
-    options = HLSOptions(
-        clock_hz=knobs.clock_hz,
-        memory_strategy=knobs.memory_strategy,
-        budget=ResourceBudget(
-            fadd=4 * knobs.unroll, fmul=4 * knobs.unroll,
-        ),
-        enable_dift=knobs.dift or None,
-    )
     try:
-        design = synthesize(prepared, kernel, options)
+        design = synthesize_variant(module, kernel, knobs, digest)
     except (HLSError, SchedulingError) as exc:
         return CostEstimate(
             latency_s=float("inf"), energy_j=float("inf"),
