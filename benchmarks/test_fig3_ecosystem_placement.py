@@ -104,11 +104,11 @@ def test_fig3_workflow_engine_on_ecosystem(benchmark):
     """Run the same pipeline through the distributed workflow engine
     with workers on both tiers: locality scheduling cuts WAN traffic.
     """
+    from repro.workflow.recovery import ResilientServer
     from repro.workflow.scheduler import (
         FIFOScheduler,
         LocalityScheduler,
     )
-    from repro.workflow.server import WorkflowServer
     from repro.workflow.worker import Worker
 
     eco = build_reference_ecosystem(uplink_mbps=100.0)
@@ -124,10 +124,10 @@ def test_fig3_workflow_engine_on_ecosystem(benchmark):
                    speed_factor=0.3),
         ]
 
-    fifo = WorkflowServer(
+    fifo, _ = ResilientServer(
         workers(), ecosystem=eco, policy=FIFOScheduler()
     ).run(graph)
-    locality = WorkflowServer(
+    locality, _ = ResilientServer(
         workers(), ecosystem=eco, policy=LocalityScheduler()
     ).run(graph)
 
@@ -145,6 +145,6 @@ def test_fig3_workflow_engine_on_ecosystem(benchmark):
     table.show()
     assert locality.bytes_moved <= fifo.bytes_moved
 
-    server = WorkflowServer(workers(), ecosystem=eco,
-                            policy=LocalityScheduler())
+    server = ResilientServer(workers(), ecosystem=eco,
+                             policy=LocalityScheduler())
     benchmark(lambda: server.run(sensor_pipeline(MB)))

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.faults import WorkerCrash
+from repro.chaos.schedule import ChaosSchedule
 from repro.utils.rng import deterministic_rng
 from repro.utils.tables import Table
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
+from repro.workflow.recovery import ResilientServer
 from repro.workflow.scheduler import make_policy
-from repro.workflow.server import WorkflowServer
 from repro.workflow.worker import Worker
 
 
@@ -97,6 +99,19 @@ def pool(count=4, cpus=2):
     ]
 
 
+def slots(server) -> int:
+    """Total CPU slots across the server's workers."""
+    return sum(worker.cpus for worker in server.workers)
+
+
+def crashes(*faults) -> ChaosSchedule:
+    """Permanent crashes of ``(worker, at_time)`` pairs."""
+    return ChaosSchedule(seed=0, faults=[
+        WorkerCrash(worker=worker, at_time=at_time)
+        for worker, at_time in faults
+    ])
+
+
 def test_workflow_policy_comparison(benchmark):
     table = Table(
         "ben-workflow: scheduling policy x DAG family "
@@ -107,16 +122,16 @@ def test_workflow_policy_comparison(benchmark):
     makespans = {}
     for graph_name, builder in GRAPHS.items():
         for policy_name in ("fifo", "b-level", "locality"):
-            server = WorkflowServer(
+            server = ResilientServer(
                 pool(), policy=make_policy(policy_name)
             )
-            trace = server.run(builder())
+            trace, _ = server.run(builder())
             makespans[(graph_name, policy_name)] = trace.makespan
             table.add_row(
                 graph_name,
                 policy_name,
                 trace.makespan,
-                trace.utilization(server.total_slots()) * 100,
+                trace.utilization(slots(server)) * 100,
                 trace.bytes_moved / 1e6,
                 trace.average_wait(),
             )
@@ -130,18 +145,13 @@ def test_workflow_policy_comparison(benchmark):
     assert makespans[("adversarial", "b-level")] < \
         makespans[("adversarial", "fifo")]
 
-    server = WorkflowServer(pool(), policy=make_policy("b-level"))
+    server = ResilientServer(pool(), policy=make_policy("b-level"))
     benchmark(lambda: server.run(adversarial_graph()))
 
 
 def test_workflow_fault_tolerance(benchmark):
     """§IV migration claim: the engine survives worker crashes with
     bounded makespan inflation via lineage re-execution."""
-    from repro.workflow.recovery import (
-        FailureInjection,
-        ResilientServer,
-    )
-
     graph_builder = usecase_graph
 
     table = Table(
@@ -155,13 +165,12 @@ def test_workflow_fault_tolerance(benchmark):
     )
     table.add_row("no failure", clean_trace.makespan, 0, 0, 0)
     results = {}
-    for label, failures in (
-        ("1 crash @0.5s", [FailureInjection("w1", 0.5)]),
-        ("2 crashes", [FailureInjection("w1", 0.4),
-                       FailureInjection("w2", 0.9)]),
+    for label, chaos in (
+        ("1 crash @0.5s", crashes(("w1", 0.5))),
+        ("2 crashes", crashes(("w1", 0.4), ("w2", 0.9))),
     ):
         trace, stats = ResilientServer(pool()).run(
-            graph_builder(), failures=failures
+            graph_builder(), chaos=chaos
         )
         results[label] = (trace, stats)
         table.add_row(
@@ -180,7 +189,7 @@ def test_workflow_fault_tolerance(benchmark):
 
     benchmark(lambda: ResilientServer(pool()).run(
         graph_builder(),
-        failures=[FailureInjection("w1", 0.5)],
+        chaos=crashes(("w1", 0.5)),
     ))
 
 
@@ -193,11 +202,11 @@ def test_workflow_strong_scaling(benchmark):
     base = None
     results = {}
     for workers in (1, 2, 4, 8):
-        server = WorkflowServer(
+        server = ResilientServer(
             pool(count=workers, cpus=1),
             policy=make_policy("b-level"),
         )
-        trace = server.run(wide_graph())
+        trace, _ = server.run(wide_graph())
         if base is None:
             base = trace.makespan
         results[workers] = trace.makespan
@@ -205,7 +214,7 @@ def test_workflow_strong_scaling(benchmark):
             workers,
             trace.makespan,
             base / trace.makespan,
-            trace.utilization(server.total_slots()) * 100,
+            trace.utilization(slots(server)) * 100,
         )
     table.show()
 
@@ -216,5 +225,5 @@ def test_workflow_strong_scaling(benchmark):
     graph = wide_graph()
     assert results[8] >= graph.critical_path_length() - 1e-9
 
-    server = WorkflowServer(pool(count=8, cpus=1))
+    server = ResilientServer(pool(count=8, cpus=1))
     benchmark(lambda: server.run(wide_graph()))

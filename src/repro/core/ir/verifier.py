@@ -26,9 +26,8 @@ Two entry points share one walker:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
-from repro.core.analysis.diagnostics import Diagnostics
 from repro.core.ir.dialects import (
     TRAIT_ISOLATED,
     TRAIT_TERMINATOR,
@@ -37,6 +36,9 @@ from repro.core.ir.dialects import (
 from repro.core.ir.module import Module
 from repro.core.ir.ops import Block, Operation, Value
 from repro.errors import VerificationError
+
+if TYPE_CHECKING:
+    from repro.core.analysis.diagnostics import Diagnostics
 
 _REQUIRED_TERMINATORS = {
     "func.func": "func.return",
@@ -159,15 +161,25 @@ class _Verifier:
             return None
 
 
+def _new_diagnostics() -> "Diagnostics":
+    # Imported on use: importing core.analysis runs its package, which
+    # imports core.hls, which imports core.ir, so a module-level import
+    # here makes ``import repro.core.hls`` fail on a cold interpreter.
+    from repro.core.analysis.diagnostics import Diagnostics
+
+    return Diagnostics()
+
+
 def verify(module: Module) -> None:
     """Verify a module; raises :class:`VerificationError` on failure."""
-    _Verifier(Diagnostics(), fail_fast=True).run(module)
+    _Verifier(_new_diagnostics(), fail_fast=True).run(module)
 
 
 def verify_diagnostics(
     module: Module, diagnostics: Optional[Diagnostics] = None
 ) -> Diagnostics:
     """Collect every structural defect; never raises."""
-    diagnostics = diagnostics if diagnostics is not None else Diagnostics()
+    if diagnostics is None:
+        diagnostics = _new_diagnostics()
     _Verifier(diagnostics, fail_fast=False).run(module)
     return diagnostics

@@ -39,10 +39,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.analysis.diagnostics import Diagnostics
 from repro.sanitize.vclock import VectorClock
-
-#: Tracer categories consumed by the checker.
-TASK_CATEGORY = "workflow.task"
-RESOURCE_EVENT_CATEGORY = "workflow.resource"
+from repro.workflow.tracing import RESOURCE_EVENT_CATEGORY, TASK_CATEGORY
 
 
 @dataclass

@@ -5,8 +5,10 @@ environments with various virtualized heterogeneous resources". This
 package provides the engine: task graphs with data objects
 (:mod:`graph`), workers bound to platform nodes (:mod:`worker`),
 scheduling policies including HyperLoom's b-level heuristic
-(:mod:`scheduler`), an orchestration server (:mod:`server`), and
-execution traces (:mod:`tracing`).
+(:mod:`scheduler`), one execution engine with fault injection and
+recovery (:class:`ResilientServer` in :mod:`recovery`; a fault-free
+run is a run with no chaos schedule), and execution traces
+(:mod:`tracing`).
 """
 
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
@@ -17,13 +19,10 @@ from repro.workflow.scheduler import (
     LocalityScheduler,
     SchedulerPolicy,
 )
-from repro.workflow.server import WorkflowServer
 from repro.workflow.recovery import (
-    FailureInjection,
     RecoveryStats,
     ResilientServer,
     RetryPolicy,
-    migrate_task,
 )
 from repro.workflow.tracing import (
     ExecutionTrace,
@@ -59,12 +58,9 @@ __all__ = [
     "FIFOScheduler",
     "BLevelScheduler",
     "LocalityScheduler",
-    "WorkflowServer",
     "ResilientServer",
-    "FailureInjection",
     "RecoveryStats",
     "RetryPolicy",
-    "migrate_task",
     "ExecutionTrace",
     "TaskRecord",
     "FaultRecord",

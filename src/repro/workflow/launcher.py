@@ -17,16 +17,16 @@ Job kinds a launcher knows how to execute:
     throughput yardstick.
 ``graph``
     A seeded random task graph (``seed``, ``tasks``, ``workers``)
-    executed to completion on a :class:`WorkflowServer`; the result
-    records the deterministic trace digest.
+    executed to completion on the :class:`ResilientServer` with no
+    faults; the result records the deterministic trace digest.
 ``chaos``
     A seeded fault-injection scenario (``graph_seed``, ``fault_seed``,
-    ``tasks``, ``workers``, fault counts) on the
-    :class:`ResilientServer`. With ``durable: true`` in the spec and
-    a run store attached, the execution is write-ahead journaled
-    under run id ``job-<id>`` — a launcher killed mid-job leaves a
-    resumable journal, and the re-execution reproduces the unbroken
-    run's trace digest byte-identically (the PR 6 contract).
+    ``tasks``, ``workers``, fault counts) on the same engine. With
+    ``durable: true`` in the spec and a run store attached, the
+    execution is write-ahead journaled under run id ``job-<id>`` — a
+    launcher killed mid-job leaves a resumable journal, and the
+    re-execution reproduces the unbroken run's trace digest
+    byte-identically (the PR 6 contract).
 
 Unknown kinds fail the job with its error recorded, so a newer
 client's submissions degrade loudly, not silently.
@@ -61,7 +61,7 @@ def _noop_job(spec: Dict) -> Dict:
 
 def _graph_job(spec: Dict) -> Dict:
     from repro.chaos import random_task_graph
-    from repro.workflow.server import WorkflowServer
+    from repro.workflow.recovery import ResilientServer
     from repro.workflow.worker import Worker
 
     graph = random_task_graph(
@@ -72,7 +72,7 @@ def _graph_job(spec: Dict) -> Dict:
         Worker(f"w{index}", node_name=f"n{index}", cpus=2)
         for index in range(int(spec.get("workers", 2)))
     ]
-    trace = WorkflowServer(workers).run(graph)
+    trace, _ = ResilientServer(workers).run(graph)
     return {"digest": trace.digest(), "makespan": trace.makespan}
 
 

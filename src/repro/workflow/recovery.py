@@ -1,15 +1,20 @@
-"""Fault tolerance and migration for the workflow engine.
+"""The workflow engine: execution, fault tolerance and migration.
+
+Runs a :class:`~repro.workflow.graph.TaskGraph` over a pool of
+:class:`~repro.workflow.worker.Worker` instances on the discrete-event
+simulator, staging data objects between workers (through the ecosystem
+topology when one is provided) and producing an
+:class:`~repro.workflow.tracing.ExecutionTrace`. A fault-free run is a
+run with no chaos schedule.
 
 Paper §IV: "Tasks are defined in a way that allows runtime migration
 of both data and computations" and the runtime can "seamlessly move
 the computation between edge nodes and also between edge and cloud
 parts". This module provides:
 
-* :class:`FailureInjection` — a worker crash at a simulated time (the
-  legacy single-fault interface, kept for compatibility);
 * :class:`RetryPolicy` — configurable retry count, task timeout and
   exponential backoff for re-queued task attempts;
-* :class:`ResilientServer` — a workflow server that survives the whole
+* :class:`ResilientServer` — the engine, which survives the whole
   chaos fault vocabulary (:mod:`repro.chaos.faults`): worker crashes
   *and restarts*, link degradation/partition, vFPGA reconfiguration
   failures, stragglers, and transient task faults. Running tasks on a
@@ -26,6 +31,15 @@ vFPGA reconfiguration failure only the role logic is down; the shell
 keeps serving the worker's object store (cloudFPGA keeps the network
 stack in the static shell region), so the store survives while the
 worker is out of the pool.
+
+Every run is traced: the engine emits task spans (one lane per
+worker), staging-transfer spans, scheduler-decision instants and
+ready-queue counters into a simulated-time tracer, and the returned
+``ExecutionTrace`` is a view over those events
+(:meth:`~repro.workflow.tracing.ExecutionTrace.from_tracer`). When an
+enabled tracer is passed in — or installed ambiently via
+:func:`repro.obs.observe` — the whole simulated timeline is absorbed
+into it as its own process for Chrome-trace export.
 """
 
 from __future__ import annotations
@@ -43,26 +57,20 @@ from repro.chaos.faults import (
 )
 from repro.chaos.schedule import ChaosSchedule
 from repro.errors import ChaosError, PlatformError, WorkflowError
-from repro.obs import Tracer, current_metrics
+from repro.obs import SimClock, Tracer, current_metrics, current_tracer
 from repro.platform.simulator import Simulator
 from repro.platform.topology import Ecosystem
 from repro.workflow.graph import TaskGraph
-from repro.workflow.journal import RunJournal
-from repro.workflow.replay import EXEC_CATEGORY, ReplayState
+from repro.workflow.journal import RunJournal, journal_error
+from repro.workflow.replay import EXEC_CATEGORY, PayloadSkipper, ReplayState
 from repro.workflow.scheduler import BLevelScheduler, SchedulerPolicy
-from repro.workflow.server import (
-    RESOURCE_EVENT_CATEGORY,
-    SCHED_CATEGORY,
-    TRANSFER_CATEGORY,
-    begin_journal,
-    end_journal,
-    make_sim_tracer,
-    publish_run,
-)
 from repro.workflow.tracing import (
     FAULT_CATEGORY,
     RECOVERY_CATEGORY,
+    RESOURCE_EVENT_CATEGORY,
+    SCHED_CATEGORY,
     TASK_CATEGORY,
+    TRANSFER_CATEGORY,
     ExecutionTrace,
 )
 from repro.workflow.worker import Worker
@@ -71,14 +79,80 @@ from repro.workflow.worker import Worker
 #: currently unavailable (partition / lineage in flight): finite so
 #: policies can still order candidates, large enough to lose every tie.
 _UNREACHABLE_COST = 1e9
+#: Default inter-worker staging model when no ecosystem is given.
+_DEFAULT_LATENCY_S = 1e-3
+_DEFAULT_BANDWIDTH = 1e9  # bytes/second
+#: Time to re-fetch a lost external input from durable storage.
+_REFETCH_LATENCY_S = 0.05
 
 
-@dataclass(frozen=True)
-class FailureInjection:
-    """Crash ``worker`` at simulated ``at_time`` seconds (legacy API)."""
+def make_sim_tracer(sim: Simulator, graph_name: str) -> Tracer:
+    """A simulated-time tracer for one run, attached to the engine."""
+    tracer = Tracer(clock=SimClock(sim), enabled=True,
+                    process=f"workflow:{graph_name}")
+    sim.tracer = tracer
+    return tracer
 
-    worker: str
-    at_time: float
+
+def begin_journal(
+    journal: Optional[RunJournal],
+    events: Tracer,
+    graph: TaskGraph,
+    policy_name: str,
+    workers: List[Worker],
+    resume: Optional[ReplayState],
+) -> Optional[PayloadSkipper]:
+    """Prologue for durable/resumed execution.
+
+    When resuming, the journaled header must describe the same run
+    recipe we are about to re-execute — same graph content, policy and
+    worker pool — otherwise the deterministic replay would silently
+    diverge from what the journal proves happened; that mismatch is a
+    hard ``WF009`` error. When journaling, the header is written and
+    the journal hooks the simulated-time tracer so every transition is
+    durable before execution proceeds.
+
+    Returns the payload skipper for a resumed run (None otherwise).
+    """
+    recipe = {
+        "graph": graph.name,
+        "graph_digest": graph.digest(),
+        "policy": policy_name,
+        "workers": [worker.name for worker in workers],
+        "tasks": len(graph.tasks),
+    }
+    if resume is not None and resume.header is not None:
+        for key in ("graph_digest", "policy", "workers"):
+            expected = resume.header.get(key)
+            if expected != recipe[key]:
+                raise journal_error(
+                    "WF009",
+                    f"resume state was journaled for {key}="
+                    f"{expected!r} but this run has {recipe[key]!r}; "
+                    f"rebuild the run from its recorded recipe",
+                    anchor=graph.name,
+                )
+    if journal is not None:
+        journal.start(recipe)
+        journal.attach(events)
+    return resume.payload_skipper() if resume is not None else None
+
+
+def end_journal(journal: Optional[RunJournal],
+                trace: ExecutionTrace) -> None:
+    """Seal a journaled run: final digest record, tracer detached."""
+    if journal is None:
+        return
+    journal.finish(trace.digest(), makespan=trace.makespan)
+    journal.detach()
+
+
+def publish_run(sim_tracer: Tracer, graph_name: str,
+                tracer: Optional[Tracer]) -> None:
+    """Absorb a run's simulated timeline into the session tracer."""
+    target = tracer if tracer is not None else current_tracer()
+    if target.enabled:
+        target.absorb(sim_tracer, process=f"workflow:{graph_name}")
 
 
 @dataclass(frozen=True)
@@ -128,14 +202,14 @@ class RecoveryStats:
 
 
 class ResilientServer:
-    """Workflow server with crash recovery and task re-execution."""
+    """The workflow engine: execution with crash recovery and task
+    re-execution."""
 
     def __init__(
         self,
         workers: List[Worker],
         ecosystem: Optional[Ecosystem] = None,
         policy: Optional[SchedulerPolicy] = None,
-        refetch_latency_s: float = 0.05,
         retry: Optional[RetryPolicy] = None,
     ):
         if not workers:
@@ -145,7 +219,6 @@ class ResilientServer:
         self.workers = list(workers)
         self.ecosystem = ecosystem
         self.policy = policy or BLevelScheduler()
-        self.refetch_latency_s = refetch_latency_s
         self.retry = retry or RetryPolicy()
         self._failed: Set[str] = set()
         # Degradations on the default (no-ecosystem) staging path:
@@ -186,7 +259,8 @@ class ResilientServer:
         for bw_factor, lat_add in self._default_degradations:
             factor *= bw_factor
             latency_add += lat_add
-        return 1e-3 + latency_add + size_bytes / (1e9 * factor)
+        return (_DEFAULT_LATENCY_S + latency_add
+                + size_bytes / (_DEFAULT_BANDWIDTH * factor))
 
     # ------------------------------------------------------------------
 
@@ -216,16 +290,15 @@ class ResilientServer:
     def run(
         self,
         graph: TaskGraph,
-        failures: Optional[List[FailureInjection]] = None,
         chaos: Optional[ChaosSchedule] = None,
         tracer: Optional[Tracer] = None,
         journal: Optional[RunJournal] = None,
         resume: Optional[ReplayState] = None,
     ) -> tuple:
-        """Execute with fault injection and recovery.
+        """Execute the graph to completion, recovering from faults.
 
-        ``failures`` is the legacy interface (permanent worker crashes);
-        ``chaos`` is a full :class:`ChaosSchedule`; ``tracer`` (or the
+        ``chaos`` is the :class:`ChaosSchedule` of faults to inject
+        (none for a fault-free run); ``tracer`` (or the
         ambient session tracer) receives the simulated timeline as a
         ``workflow:<graph>`` process. ``journal`` write-ahead logs
         every transition (faults and recoveries included) so the run
@@ -247,20 +320,12 @@ class ResilientServer:
         stats = RecoveryStats()
         metrics = current_metrics()
 
-        all_faults: List = []
-        for injection in failures or []:
-            if injection.worker not in {w.name for w in self.workers}:
-                raise WorkflowError(
-                    f"failure names unknown worker {injection.worker!r}"
-                )
-            all_faults.append(WorkerCrash(
-                worker=injection.worker, at_time=injection.at_time,
-            ))
+        faults: List = []
         if chaos is not None:
             self._validate_faults(chaos)
-            all_faults.extend(chaos.faults)
+            faults = chaos.faults
         task_fault_names = {
-            fault.task for fault in all_faults
+            fault.task for fault in faults
             if isinstance(fault, TaskFault)
         }
         for name in sorted(task_fault_names):
@@ -269,7 +334,7 @@ class ResilientServer:
                     f"task-fault names unknown task {name!r}"
                 )
         fault_budget: Dict[str, int] = {}
-        for fault in all_faults:
+        for fault in faults:
             if isinstance(fault, TaskFault):
                 fault_budget[fault.task] = (
                     fault_budget.get(fault.task, 0) + fault.failures
@@ -522,8 +587,6 @@ class ResilientServer:
                 )
                 return
             running.pop(task_name, None)
-            worker.busy_seconds += task.duration_s * task.cpus
-            worker.tasks_executed += 1
             worker.release(task.cpus)
             resource_event("release", worker, task.cpus)
             for output_name in list(task.outputs) + list(task.updates):
@@ -580,7 +643,7 @@ class ResilientServer:
             if target is None:
                 deferred_refetch.add(object_name)
                 return
-            yield sim.timeout(self.refetch_latency_s)
+            yield sim.timeout(_REFETCH_LATENCY_S)
             if target.name in self._failed:
                 deferred_refetch.add(object_name)
                 return
@@ -735,7 +798,7 @@ class ResilientServer:
             StragglerFault: apply_straggler,
             LinkFault: apply_link,
         }
-        for fault in all_faults:
+        for fault in faults:
             applier = appliers.get(type(fault))
             if applier is not None:
                 sim.process(
@@ -801,8 +864,7 @@ class ResilientServer:
 
         sim.run_process(dispatcher(), name="dispatcher")
         trace = ExecutionTrace.from_tracer(
-            events, graph_name=graph.name,
-            policy=f"{self.policy.name}+recovery",
+            events, graph_name=graph.name, policy=self.policy.name,
         )
         metrics.counter(
             "workflow.bytes_moved", "bytes staged between workers",
@@ -814,32 +876,3 @@ class ResilientServer:
         publish_run(events, graph.name, tracer)
         return trace, stats
 
-
-def migrate_task(
-    graph: TaskGraph,
-    task_name: str,
-    source: Worker,
-    target: Worker,
-    ecosystem: Optional[Ecosystem] = None,
-) -> float:
-    """Cost of migrating a *pending* task's inputs between workers.
-
-    Moving the computation means moving its not-yet-consumed inputs;
-    returns the staging seconds the move would add, so a placement
-    layer can decide whether migration pays.
-    """
-    if task_name not in graph.tasks:
-        raise WorkflowError(f"unknown task {task_name!r}")
-    total = 0.0
-    for input_name in graph.tasks[task_name].inputs:
-        if target.holds(input_name):
-            continue
-        size = graph.objects[input_name].size_bytes
-        if ecosystem is not None and source.node_name != \
-                target.node_name:
-            total += ecosystem.transfer_time(
-                source.node_name, target.node_name, size
-            )
-        elif source.name != target.name:
-            total += 1e-3 + size / 1e9
-    return total

@@ -1,361 +1,19 @@
-"""The workflow orchestration server.
+"""A second name for the workflow engine, kept for the benchmark only.
 
-Runs a :class:`~repro.workflow.graph.TaskGraph` over a pool of
-:class:`~repro.workflow.worker.Worker` instances on the discrete-event
-simulator, staging data objects between workers (through the ecosystem
-topology when one is provided) and producing an
-:class:`~repro.workflow.tracing.ExecutionTrace`.
-
-Every run is traced: the server emits task spans (one lane per
-worker), staging-transfer spans, scheduler-decision instants and
-ready-queue counters into a simulated-time tracer, and the returned
-``ExecutionTrace`` is a view over those events
-(:meth:`~repro.workflow.tracing.ExecutionTrace.from_tracer`). When an
-enabled tracer is passed in — or installed ambiently via
-:func:`repro.obs.observe` — the whole simulated timeline is absorbed
-into it as its own process for Chrome-trace export.
+The engine is :class:`repro.workflow.recovery.ResilientServer`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.errors import WorkflowError
-from repro.obs import SimClock, Tracer, current_metrics, current_tracer
-from repro.platform.simulator import Simulator
-from repro.platform.topology import Ecosystem
-from repro.workflow.graph import TaskGraph
-from repro.workflow.journal import RunJournal, journal_error
-from repro.workflow.replay import (
-    EXEC_CATEGORY,
-    PayloadSkipper,
-    ReplayState,
-)
-from repro.workflow.scheduler import (
-    BLevelScheduler,
-    SchedulerPolicy,
-)
-from repro.workflow.tracing import TASK_CATEGORY, ExecutionTrace
-from repro.workflow.worker import Worker
-
-#: Tracer categories for the extra (non-ExecutionTrace) detail.
-TRANSFER_CATEGORY = "workflow.transfer"
-SCHED_CATEGORY = "workflow.sched"
-#: Worker-slot request/release instants consumed by repro.sanitize.
-RESOURCE_EVENT_CATEGORY = "workflow.resource"
+from repro.workflow.recovery import ResilientServer
 
 
-def make_sim_tracer(sim: Simulator, graph_name: str) -> Tracer:
-    """A simulated-time tracer for one run, attached to the engine."""
-    tracer = Tracer(clock=SimClock(sim), enabled=True,
-                    process=f"workflow:{graph_name}")
-    sim.tracer = tracer
-    return tracer
+class WorkflowServer(ResilientServer):
+    """Empty alias of :class:`ResilientServer`; nothing calls it.
 
-
-def begin_journal(
-    journal: Optional[RunJournal],
-    events: Tracer,
-    graph: TaskGraph,
-    policy_name: str,
-    workers: List[Worker],
-    resume: Optional[ReplayState],
-) -> Optional[PayloadSkipper]:
-    """Shared server prologue for durable/resumed execution.
-
-    When resuming, the journaled header must describe the same run
-    recipe we are about to re-execute — same graph content, policy and
-    worker pool — otherwise the deterministic replay would silently
-    diverge from what the journal proves happened; that mismatch is a
-    hard ``WF009`` error. When journaling, the header is written and
-    the journal hooks the simulated-time tracer so every transition is
-    durable before execution proceeds.
-
-    Returns the payload skipper for a resumed run (None otherwise).
+    It exists only because ``perfbench/spans.py`` wraps
+    ``WorkflowServer.run`` by name. Delete it together with that entry
+    point in the next change to the benchmark. As an empty subclass it
+    inherits ``run``, so a ``ResilientServer`` run still records exactly
+    one engine span.
     """
-    recipe = {
-        "graph": graph.name,
-        "graph_digest": graph.digest(),
-        "policy": policy_name,
-        "workers": [worker.name for worker in workers],
-        "tasks": len(graph.tasks),
-    }
-    if resume is not None and resume.header is not None:
-        for key in ("graph_digest", "policy", "workers"):
-            expected = resume.header.get(key)
-            if expected != recipe[key]:
-                raise journal_error(
-                    "WF009",
-                    f"resume state was journaled for {key}="
-                    f"{expected!r} but this run has {recipe[key]!r}; "
-                    f"rebuild the run from its recorded recipe",
-                    anchor=graph.name,
-                )
-    if journal is not None:
-        journal.start(recipe)
-        journal.attach(events)
-    return resume.payload_skipper() if resume is not None else None
-
-
-def end_journal(journal: Optional[RunJournal],
-                trace: ExecutionTrace) -> None:
-    """Seal a journaled run: final digest record, tracer detached."""
-    if journal is None:
-        return
-    journal.finish(trace.digest(), makespan=trace.makespan)
-    journal.detach()
-
-
-def publish_run(sim_tracer: Tracer, graph_name: str,
-                tracer: Optional[Tracer]) -> None:
-    """Absorb a run's simulated timeline into the session tracer."""
-    target = tracer if tracer is not None else current_tracer()
-    if target.enabled:
-        target.absorb(sim_tracer, process=f"workflow:{graph_name}")
-
-#: Default inter-worker staging model when no ecosystem is given.
-_DEFAULT_LATENCY_S = 1e-3
-_DEFAULT_BANDWIDTH = 1e9  # bytes/second
-
-
-class WorkflowServer:
-    """Executes task graphs over a worker pool."""
-
-    def __init__(
-        self,
-        workers: List[Worker],
-        ecosystem: Optional[Ecosystem] = None,
-        policy: Optional[SchedulerPolicy] = None,
-    ):
-        if not workers:
-            raise WorkflowError("server needs at least one worker")
-        names = {worker.name for worker in workers}
-        if len(names) != len(workers):
-            raise WorkflowError("worker names must be unique")
-        self.workers = list(workers)
-        self.ecosystem = ecosystem
-        self.policy = policy or BLevelScheduler()
-
-    # ------------------------------------------------------------------
-
-    def _transfer_seconds(self, source_worker: str, target_worker: str,
-                          size_bytes: int) -> float:
-        if source_worker == target_worker or size_bytes == 0:
-            return 0.0
-        if self.ecosystem is not None:
-            source = self._worker(source_worker).node_name
-            target = self._worker(target_worker).node_name
-            if source == target:
-                return 0.0
-            return self.ecosystem.transfer_time(source, target,
-                                                size_bytes)
-        return _DEFAULT_LATENCY_S + size_bytes / _DEFAULT_BANDWIDTH
-
-    def _worker(self, name: str) -> Worker:
-        for worker in self.workers:
-            if worker.name == name:
-                return worker
-        raise WorkflowError(f"unknown worker {name!r}")
-
-    # ------------------------------------------------------------------
-
-    def run(self, graph: TaskGraph,
-            tracer: Optional[Tracer] = None,
-            journal: Optional[RunJournal] = None,
-            resume: Optional[ReplayState] = None) -> ExecutionTrace:
-        """Execute the graph to completion; returns the trace.
-
-        ``tracer`` (or the ambient session tracer) receives the whole
-        simulated timeline as a ``workflow:<graph>`` process.
-        ``journal`` makes the run durable: every transition is
-        write-ahead logged so a crash can be resumed. ``resume`` is
-        the replayed state of a crashed run — execution re-runs the
-        deterministic timeline but skips payloads that already ran.
-        """
-        graph.validate()
-        self.policy.prepare(graph)
-
-        sim = Simulator()
-        events = make_sim_tracer(sim, graph.name)
-        skipper = begin_journal(
-            journal, events, graph, self.policy.name, self.workers,
-            resume,
-        )
-        metrics = current_metrics()
-        locations: Dict[str, str] = {}
-        # External inputs start on their preferred worker (or the first).
-        for obj in graph.external_inputs():
-            home = obj.locality or self.workers[0].name
-            try:
-                worker = self._worker(home)
-            except WorkflowError:
-                # locality names a node: find a worker on that node
-                matches = [
-                    w for w in self.workers if w.node_name == home
-                ]
-                worker = matches[0] if matches else self.workers[0]
-            locations[obj.name] = worker.name
-            worker.store.add(obj.name)
-
-        remaining_deps: Dict[str, int] = {
-            name: len(graph.dependencies(name)) for name in graph.tasks
-        }
-        ready: List[str] = [
-            name for name in graph.topological_order()
-            if remaining_deps[name] == 0
-        ]
-        ready_at: Dict[str, float] = {name: 0.0 for name in ready}
-        finished: List[str] = []
-        wake = {"event": sim.event()}
-
-        def resource_event(op: str, worker: Worker, units: int):
-            events.instant(
-                f"{op}:{worker.name}", category=RESOURCE_EVENT_CATEGORY,
-                track=worker.name, op=op, resource=worker.name,
-                units=units, capacity=worker.cpus,
-            )
-
-        def staged_objects(task) -> List[str]:
-            return list(task.inputs) + list(task.updates)
-
-        def transfer_cost(task_name: str, worker: Worker) -> float:
-            total = 0.0
-            for input_name in staged_objects(graph.tasks[task_name]):
-                if worker.holds(input_name):
-                    continue
-                source = locations.get(input_name)
-                if source is None:
-                    raise WorkflowError(
-                        f"object {input_name!r} has no location"
-                    )
-                total += self._transfer_seconds(
-                    source, worker.name,
-                    graph.objects[input_name].size_bytes,
-                )
-            return total
-
-        def run_task(task_name: str, worker: Worker):
-            task = graph.tasks[task_name]
-            start_ready = ready_at[task_name]
-            start = sim.now
-            staging = 0.0
-            moved = 0
-            for input_name in staged_objects(task):
-                if worker.holds(input_name):
-                    continue
-                source = locations[input_name]
-                size = graph.objects[input_name].size_bytes
-                seconds = self._transfer_seconds(
-                    source, worker.name, size
-                )
-                if seconds:
-                    stage_start = sim.now
-                    yield sim.timeout(seconds)
-                    events.complete(
-                        f"stage:{input_name}", stage_start, sim.now,
-                        category=TRANSFER_CATEGORY, track=worker.name,
-                        source=source, bytes=size,
-                    )
-                staging += seconds
-                moved += size
-                worker.store.add(input_name)
-            duration = worker.execution_time(task.duration_s)
-            if journal is not None:
-                events.instant(
-                    "exec", category=EXEC_CATEGORY, track=worker.name,
-                    task=task_name, worker=worker.name,
-                )
-            already_ran = (
-                skipper.take(task_name) if skipper is not None else False
-            )
-            if task.payload is not None and not already_ran:
-                task.payload()
-            yield sim.timeout(duration)
-            worker.busy_seconds += duration * task.cpus
-            worker.tasks_executed += 1
-            for output_name in list(task.outputs) + list(task.updates):
-                locations[output_name] = worker.name
-                worker.store.add(output_name)
-            worker.release(task.cpus)
-            resource_event("release", worker, task.cpus)
-            events.complete(
-                task_name, start, sim.now, category=TASK_CATEGORY,
-                track=worker.name, task=task_name, worker=worker.name,
-                ready_at=start_ready, start=start, end=sim.now,
-                transfer_seconds=staging, bytes_moved=moved,
-                reads=staged_objects(task),
-                writes=list(task.outputs) + list(task.updates),
-            )
-            metrics.counter(
-                "workflow.tasks_executed",
-                "tasks completed by the workflow engine",
-            ).inc(worker=worker.name)
-            finished.append(task_name)
-            for consumer in graph.consumers(task_name):
-                remaining_deps[consumer] -= 1
-                if remaining_deps[consumer] == 0:
-                    ready.append(consumer)
-                    ready_at[consumer] = sim.now
-            if not wake["event"].triggered:
-                wake["event"].trigger()
-
-        def dispatcher():
-            while len(finished) < len(graph.tasks):
-                launched = True
-                while launched and ready:
-                    choice = self.policy.select(
-                        ready, self.workers, graph, locations,
-                        transfer_cost,
-                    )
-                    if choice is None:
-                        launched = False
-                    else:
-                        task_name, worker = choice
-                        ready.remove(task_name)
-                        events.instant(
-                            "dispatch", category=SCHED_CATEGORY,
-                            track="scheduler", task=task_name,
-                            worker=worker.name,
-                        )
-                        events.counter(
-                            "ready_tasks", float(len(ready)),
-                            category=SCHED_CATEGORY, track="scheduler",
-                        )
-                        worker.acquire(graph.tasks[task_name].cpus)
-                        resource_event(
-                            "request", worker,
-                            graph.tasks[task_name].cpus,
-                        )
-                        sim.process(
-                            run_task(task_name, worker),
-                            name=f"task:{task_name}",
-                        )
-                if len(finished) >= len(graph.tasks):
-                    break
-                wake["event"] = sim.event()
-                yield wake["event"]
-            return None
-
-        sim.run_process(dispatcher(), name="dispatcher")
-        trace = ExecutionTrace.from_tracer(
-            events, graph_name=graph.name, policy=self.policy.name
-        )
-        metrics.counter(
-            "workflow.bytes_moved", "bytes staged between workers",
-        ).inc(trace.bytes_moved)
-        end_journal(journal, trace)
-        publish_run(events, graph.name, tracer)
-        return trace
-
-    # ------------------------------------------------------------------
-
-    def total_slots(self) -> int:
-        """Total CPU slots across workers."""
-        return sum(worker.cpus for worker in self.workers)
-
-    def describe(self) -> str:
-        """One-line pool summary."""
-        return (
-            f"{len(self.workers)} workers / {self.total_slots()} slots, "
-            f"policy={self.policy.name}"
-        )

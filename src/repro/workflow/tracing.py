@@ -6,7 +6,7 @@ server took in response (:class:`RecoveryRecord`), so a chaos run is
 fully auditable: each fault in a schedule must show up here, and the
 whole trace serializes deterministically for replay comparison.
 
-Since the observability layer landed, the servers do not build this
+Since the observability layer landed, the engine does not build this
 record directly: they emit spans and instants into a simulated-time
 :class:`~repro.obs.tracer.Tracer`, and :meth:`ExecutionTrace.from_tracer`
 derives the trace as a *view* over those events. The categories the
@@ -29,6 +29,11 @@ from typing import Dict, List
 TASK_CATEGORY = "workflow.task"
 FAULT_CATEGORY = "workflow.fault"
 RECOVERY_CATEGORY = "workflow.recovery"
+#: Categories of the extra detail the engine emits beside the view.
+TRANSFER_CATEGORY = "workflow.transfer"
+SCHED_CATEGORY = "workflow.sched"
+#: Worker-slot request/release instants consumed by repro.sanitize.
+RESOURCE_EVENT_CATEGORY = "workflow.resource"
 
 
 @dataclass

@@ -26,8 +26,6 @@ class Worker:
     node: Optional[Node] = None
     store: Set[str] = field(default_factory=set)
     busy_cpus: int = field(default=0, init=False)
-    tasks_executed: int = field(default=0, init=False)
-    busy_seconds: float = field(default=0.0, init=False)
     #: >1.0 while the worker is a straggler (chaos-injected slowdown).
     slowdown: float = field(default=1.0, init=False)
 
@@ -106,9 +104,3 @@ class Worker:
         if self.node is not None:
             slowdown *= self.node.slowdown
         return duration_s * slowdown / self.speed_factor
-
-    def utilization(self, elapsed: float) -> float:
-        """Busy fraction over an elapsed window."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (elapsed * self.cpus))

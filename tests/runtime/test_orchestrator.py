@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.chaos.faults import WorkerCrash
+from repro.chaos.schedule import ChaosSchedule
 from repro.core.compiler import EverestCompiler
 from repro.core.dse.space import DesignSpace
 from repro.core.dsl.workflow import Pipeline
@@ -10,7 +12,6 @@ from repro.errors import RuntimeSystemError
 from repro.platform.topology import build_reference_ecosystem
 from repro.runtime.autotuner.goals import Goal, GoalKind
 from repro.runtime.orchestrator import Orchestrator
-from repro.workflow.recovery import FailureInjection
 
 KERNELS = """
 kernel filter(X: tensor<512xf32>, T: tensor<512xf32>)
@@ -89,7 +90,9 @@ class TestOrchestrator:
         victim = clean.trace.records[0].worker
         report = orchestrator.deploy(
             app,
-            failures=[FailureInjection(victim, at_time=1e-7)],
+            chaos=ChaosSchedule(seed=0, faults=[
+                WorkerCrash(worker=victim, at_time=1e-7),
+            ]),
         )
         assert report.recovery is not None
         assert report.recovery.failures == 1

@@ -1,15 +1,12 @@
-"""Tests for crash recovery, lineage re-execution and migration."""
+"""Tests for crash recovery and lineage re-execution."""
 
 import pytest
 
+from repro.chaos.faults import WorkerCrash
+from repro.chaos.schedule import ChaosSchedule
 from repro.errors import WorkflowError
 from repro.workflow.graph import DataObject, TaskGraph, WorkflowTask
-from repro.workflow.recovery import (
-    FailureInjection,
-    ResilientServer,
-    migrate_task,
-)
-from repro.workflow.server import WorkflowServer
+from repro.workflow.recovery import ResilientServer
 from repro.workflow.worker import Worker
 
 
@@ -41,6 +38,14 @@ def fan_graph(width=6) -> TaskGraph:
     return graph
 
 
+def crashes(*faults) -> ChaosSchedule:
+    """Permanent crashes of ``(worker, at_time)`` pairs."""
+    return ChaosSchedule(seed=0, faults=[
+        WorkerCrash(worker=worker, at_time=at_time)
+        for worker, at_time in faults
+    ])
+
+
 def pool(count=3):
     return [
         Worker(f"w{index}", node_name=f"n{index}", cpus=2)
@@ -55,7 +60,7 @@ class TestNoFailures:
         assert len(trace.records) == 7
         assert stats.failures == 0
         assert stats.tasks_requeued == 0
-        plain = WorkflowServer(pool()).run(fan_graph())
+        plain, _ = ResilientServer(pool()).run(fan_graph())
         # same work completes; makespans comparable
         assert trace.makespan == pytest.approx(plain.makespan,
                                                rel=0.5)
@@ -71,7 +76,7 @@ class TestCrashRecovery:
         graph = chain_graph(length=3, duration=2.0)
         server = ResilientServer(pool(2))
         trace, stats = server.run(
-            graph, failures=[FailureInjection("w0", at_time=1.0)]
+            graph, chaos=crashes(("w0", 1.0))
         )
         assert stats.failures == 1
         # the mid-flight task was re-run elsewhere
@@ -88,7 +93,7 @@ class TestCrashRecovery:
         graph = chain_graph(length=4, duration=1.0)
         server = ResilientServer(pool(2))
         trace, stats = server.run(
-            graph, failures=[FailureInjection("w0", at_time=2.5)]
+            graph, chaos=crashes(("w0", 2.5))
         )
         completed = {r.task for r in trace.records}
         assert completed >= set(graph.tasks)
@@ -104,7 +109,7 @@ class TestCrashRecovery:
         graph = fan_graph()
         server = ResilientServer(pool(3))
         trace, stats = server.run(
-            graph, failures=[FailureInjection("w0", at_time=0.0005)]
+            graph, chaos=crashes(("w0", 0.0005))
         )
         assert {r.task for r in trace.records} >= set(graph.tasks)
         assert stats.objects_lost >= 1
@@ -116,7 +121,7 @@ class TestCrashRecovery:
         graph = fan_graph()
         server = ResilientServer(pool(3))
         trace, stats = server.run(
-            graph, failures=[FailureInjection("w0", at_time=0.5)]
+            graph, chaos=crashes(("w0", 0.5))
         )
         assert {r.task for r in trace.records} >= set(graph.tasks)
         assert stats.objects_lost == 0
@@ -126,7 +131,7 @@ class TestCrashRecovery:
         graph = fan_graph(width=8)
         clean, _ = ResilientServer(pool(3)).run(fan_graph(width=8))
         crashed, stats = ResilientServer(pool(3)).run(
-            graph, failures=[FailureInjection("w1", at_time=0.5)]
+            graph, chaos=crashes(("w1", 0.5))
         )
         assert stats.failures == 1
         assert crashed.makespan >= clean.makespan
@@ -137,26 +142,22 @@ class TestCrashRecovery:
         graph = chain_graph(length=3, duration=5.0)
         server = ResilientServer(pool(2))
         with pytest.raises(WorkflowError, match="all workers failed"):
-            server.run(graph, failures=[
-                FailureInjection("w0", at_time=1.0),
-                FailureInjection("w1", at_time=1.5),
-            ])
+            server.run(graph, chaos=crashes(("w0", 1.0), ("w1", 1.5)))
 
     def test_unknown_worker_failure_rejected(self):
         server = ResilientServer(pool(2))
         with pytest.raises(WorkflowError, match="unknown worker"):
             server.run(
                 chain_graph(),
-                failures=[FailureInjection("ghost", at_time=0.1)],
+                chaos=crashes(("ghost", 0.1)),
             )
 
     def test_two_failures_survived(self):
         graph = fan_graph(width=10)
         server = ResilientServer(pool(4))
-        trace, stats = server.run(graph, failures=[
-            FailureInjection("w0", at_time=0.4),
-            FailureInjection("w3", at_time=1.2),
-        ])
+        trace, stats = server.run(
+            graph, chaos=crashes(("w0", 0.4), ("w3", 1.2))
+        )
         assert stats.failures == 2
         assert {r.task for r in trace.records} >= set(graph.tasks)
 
@@ -166,9 +167,6 @@ class TestEdgeCases:
         """The producer's worker dies holding the sole copy of an
         object three consumers need: lineage must re-run the producer
         and every consumer must still complete."""
-        from repro.chaos.faults import WorkerCrash
-        from repro.chaos.schedule import ChaosSchedule
-
         graph = TaskGraph("multi-consumer")
         graph.add_object(DataObject("in", size_bytes=1000,
                                     locality="w0"))
@@ -202,7 +200,7 @@ class TestEdgeCases:
         mid-flight: the sink is re-executed on the survivor."""
         graph = chain_graph(length=2, duration=1.0)
         trace, stats = ResilientServer(pool(2)).run(
-            graph, failures=[FailureInjection("w0", at_time=1.5)]
+            graph, chaos=crashes(("w0", 1.5))
         )
         assert {r.task for r in trace.records} == set(graph.tasks)
         sink_records = [r for r in trace.records if r.task == "t1"]
@@ -213,9 +211,6 @@ class TestEdgeCases:
         assert sink_records[0].start > 1.5
 
     def test_two_workers_crash_at_same_timestamp(self):
-        from repro.chaos.faults import WorkerCrash
-        from repro.chaos.schedule import ChaosSchedule
-
         def run_once():
             graph = fan_graph(width=8)
             return ResilientServer(pool(3)).run(
@@ -242,42 +237,3 @@ class TestEdgeCases:
         replay, _stats = run_once()
         assert replay.to_json() == trace.to_json()
 
-
-class TestMigration:
-    def test_zero_cost_when_target_holds_inputs(self):
-        graph = chain_graph()
-        source = Worker("a", node_name="n1")
-        target = Worker("b", node_name="n2")
-        target.store.add("in")
-        assert migrate_task(graph, "t0", source, target) == 0.0
-
-    def test_cost_scales_with_input_size(self):
-        graph = TaskGraph("m")
-        graph.add_object(DataObject("small", size_bytes=1000))
-        graph.add_object(DataObject("big", size_bytes=10**8))
-        graph.add_task(WorkflowTask("ts", inputs=["small"],
-                                    outputs=["os"]))
-        graph.add_task(WorkflowTask("tb", inputs=["big"],
-                                    outputs=["ob"]))
-        source = Worker("a", node_name="n1")
-        target = Worker("b", node_name="n2")
-        assert migrate_task(graph, "tb", source, target) > \
-            migrate_task(graph, "ts", source, target)
-
-    def test_unknown_task_rejected(self):
-        with pytest.raises(WorkflowError):
-            migrate_task(chain_graph(), "ghost",
-                         Worker("a", node_name="n1"),
-                         Worker("b", node_name="n2"))
-
-    def test_ecosystem_costs_used(self):
-        from repro.platform.topology import build_reference_ecosystem
-
-        eco = build_reference_ecosystem()
-        graph = TaskGraph("m")
-        graph.add_object(DataObject("d", size_bytes=10**7))
-        graph.add_task(WorkflowTask("t", inputs=["d"], outputs=["o"]))
-        edge = Worker("e", node_name="edge-0")
-        cloud = Worker("c", node_name="power9-0")
-        wan_cost = migrate_task(graph, "t", edge, cloud, eco)
-        assert wan_cost > 0.1  # 10 MB over the WAN uplink

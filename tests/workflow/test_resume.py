@@ -34,7 +34,6 @@ from repro.workflow.journal import (
     replay_journal,
 )
 from repro.workflow.recovery import ResilientServer
-from repro.workflow.server import WorkflowServer
 
 from tests.chaos.conftest import make_pool
 
@@ -209,14 +208,14 @@ def test_resume_recipe_mismatch_is_rejected(tmp_path):
 
 
 def test_plain_server_resume(tmp_path):
-    """The non-resilient server honours the same journal/resume
-    contract (no chaos layer involved)."""
+    """A fault-free run honours the same journal/resume contract (no
+    chaos schedule involved)."""
     def run(directory, resume=None):
         graph = random_task_graph(4, num_tasks=10)
         counts = attach_counting_payloads(graph)
         journal = RunJournal(directory, snapshot_every=10)
         try:
-            trace = WorkflowServer(make_pool(3)).run(
+            trace, _ = ResilientServer(make_pool(3)).run(
                 graph, journal=journal, resume=resume
             )
         finally:

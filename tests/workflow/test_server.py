@@ -1,4 +1,4 @@
-"""Tests for workers, scheduling policies and the workflow server."""
+"""Tests for workers, scheduling policies and the workflow engine."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.workflow.scheduler import (
     LocalityScheduler,
     make_policy,
 )
-from repro.workflow.server import WorkflowServer
 from repro.workflow.worker import Worker
 
 
@@ -68,34 +67,34 @@ class TestWorker:
 
 class TestServerExecution:
     def test_all_tasks_complete(self):
-        server = WorkflowServer(pool(3))
-        trace = server.run(chain_and_fan())
+        server = ResilientServer(pool(3))
+        trace, _ = server.run(chain_and_fan())
         assert len(trace.records) == 12
 
     def test_makespan_at_least_critical_path(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(8))
-        trace = server.run(graph)
+        server = ResilientServer(pool(8))
+        trace, _ = server.run(graph)
         assert trace.makespan >= graph.critical_path_length() - 1e-9
 
     def test_makespan_at_most_serial(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(4))
-        trace = server.run(graph)
+        server = ResilientServer(pool(4))
+        trace, _ = server.run(graph)
         assert trace.makespan <= graph.total_work() + 1e-9
 
     def test_single_worker_serializes(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(1))
-        trace = server.run(graph)
+        server = ResilientServer(pool(1))
+        trace, _ = server.run(graph)
         # one worker, one slot: makespan == total work (+ staging 0,
         # data starts on the only worker)
         assert trace.makespan == pytest.approx(graph.total_work())
 
     def test_dependencies_respected(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(4))
-        trace = server.run(graph)
+        server = ResilientServer(pool(4))
+        trace, _ = server.run(graph)
         ends = {r.task: r.end for r in trace.records}
         starts = {r.task: r.start for r in trace.records}
         for index in range(1, 4):
@@ -104,8 +103,8 @@ class TestServerExecution:
 
     def test_parallelism_helps(self):
         graph = chain_and_fan()
-        slow = WorkflowServer(pool(1)).run(graph)
-        fast = WorkflowServer(pool(4)).run(graph)
+        slow, _ = ResilientServer(pool(1)).run(graph)
+        fast, _ = ResilientServer(pool(4)).run(graph)
         assert fast.makespan < slow.makespan
 
     def test_faster_worker_preferred_by_blevel(self):
@@ -114,23 +113,23 @@ class TestServerExecution:
             Worker("slow", node_name="a", cpus=1, speed_factor=1.0),
             Worker("fast", node_name="b", cpus=1, speed_factor=4.0),
         ]
-        server = WorkflowServer(workers, policy=BLevelScheduler())
-        trace = server.run(graph)
+        server = ResilientServer(workers, policy=BLevelScheduler())
+        trace, _ = server.run(graph)
         counts = trace.per_worker_counts()
         assert counts.get("fast", 0) >= counts.get("slow", 0)
 
     def test_utilization_bounds(self):
         graph = chain_and_fan()
-        server = WorkflowServer(pool(2))
-        trace = server.run(graph)
-        utilization = trace.utilization(server.total_slots())
+        workers = pool(2)
+        trace, _ = ResilientServer(workers).run(graph)
+        utilization = trace.utilization(sum(w.cpus for w in workers))
         assert 0.0 < utilization <= 1.0
 
     def test_empty_worker_pool_rejected(self):
         with pytest.raises(WorkflowError):
-            WorkflowServer([])
+            ResilientServer([])
 
-    @pytest.mark.parametrize("engine", [WorkflowServer, ResilientServer],
+    @pytest.mark.parametrize("engine", [ResilientServer],
                              ids=lambda engine: engine.__name__)
     def test_duplicate_worker_names_rejected(self, engine):
         with pytest.raises(WorkflowError, match="must be unique"):
@@ -164,9 +163,10 @@ class TestPolicies:
                 outputs=[f"c{index}"], duration_s=2.0,
             ))
             previous = f"c{index}"
-        fifo = WorkflowServer(pool(2), policy=FIFOScheduler()).run(graph)
-        blevel = WorkflowServer(pool(2),
-                                policy=BLevelScheduler()).run(graph)
+        fifo, _ = ResilientServer(pool(2),
+                                  policy=FIFOScheduler()).run(graph)
+        blevel, _ = ResilientServer(pool(2),
+                                    policy=BLevelScheduler()).run(graph)
         assert blevel.makespan <= fifo.makespan
 
     def test_locality_reduces_movement_on_ecosystem(self):
@@ -186,10 +186,10 @@ class TestPolicies:
                 Worker("cloud-w", node_name="power9-0", cpus=4),
             ]
 
-        fifo = WorkflowServer(
+        fifo, _ = ResilientServer(
             workers(), ecosystem=eco, policy=FIFOScheduler()
         ).run(graph)
-        locality = WorkflowServer(
+        locality, _ = ResilientServer(
             workers(), ecosystem=eco, policy=LocalityScheduler()
         ).run(graph)
         assert locality.bytes_moved <= fifo.bytes_moved
@@ -198,5 +198,5 @@ class TestPolicies:
 
     def test_trace_wait_accounting(self):
         graph = chain_and_fan()
-        trace = WorkflowServer(pool(1)).run(graph)
+        trace, _ = ResilientServer(pool(1)).run(graph)
         assert trace.average_wait() > 0.0
